@@ -6,7 +6,6 @@
 package analysis
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -18,7 +17,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/obs"
 	"github.com/clasp-measurement/clasp/internal/stats"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // Measurement is one completed speed test record, the unit stored in the
@@ -254,30 +252,6 @@ func GroupSeriesWithServerCursor(c Cursor, dir netsim.Direction, tier bgp.Tier) 
 	groupScratch.Put(gb)
 	obsGroupSeries.Add(uint64(len(out)))
 	sp.WithInt("series", len(out))
-	return out
-}
-
-// SeriesFromStore reconstructs congestion-analysis series from the
-// time-series store (the paper's pipeline: raw results land in InfluxDB,
-// the analysis reads hourly series back out). Filters mirror GroupSeries.
-// Reads go through QueryView — the store's maps are never written to, so
-// the copy-free read-only path is safe here (see tsdb.Store.QueryView).
-func SeriesFromStore(store *tsdb.Store, dir netsim.Direction, tier bgp.Tier) []congestion.Series {
-	match := tsdb.Tags{"dir": dir.String(), "tier": tier.String()}
-	var out []congestion.Series
-	for _, sr := range store.QueryView("speedtest", match, time.Time{}, time.Time{}) {
-		cs := congestion.Series{
-			PairID: fmt.Sprintf("%s/%s/%s/%s", sr.Tags["region"], sr.Tags["server"], sr.Tags["tier"], sr.Tags["dir"]),
-		}
-		for _, p := range sr.Points {
-			if v, ok := p.Fields["mbps"]; ok {
-				cs.Samples = append(cs.Samples, congestion.Sample{Time: p.Time, Mbps: v})
-			}
-		}
-		if len(cs.Samples) > 0 {
-			out = append(out, cs)
-		}
-	}
 	return out
 }
 

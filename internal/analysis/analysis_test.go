@@ -8,7 +8,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 var t0 = time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -192,29 +191,5 @@ func TestBusinessAndFig8(t *testing.T) {
 	// Unknown server resolves to BizUnknown.
 	if BusinessOf(topo, 1<<30) != topology.BizUnknown {
 		t.Error("unknown server business")
-	}
-}
-
-func TestSeriesFromStore(t *testing.T) {
-	store := tsdb.NewStore()
-	for h := 0; h < 24; h++ {
-		at := t0.Add(time.Duration(h) * time.Hour)
-		store.Insert("speedtest", tsdb.Tags{"server": "9", "region": "us-west1", "tier": "premium", "dir": "download"},
-			at, map[string]float64{"mbps": 300 + float64(h), "rtt_ms": 30})
-		store.Insert("speedtest", tsdb.Tags{"server": "9", "region": "us-west1", "tier": "premium", "dir": "upload"},
-			at, map[string]float64{"mbps": 95, "rtt_ms": 30})
-	}
-	series := SeriesFromStore(store, netsim.Download, bgp.Premium)
-	if len(series) != 1 {
-		t.Fatalf("series = %d, want 1 (upload must be filtered)", len(series))
-	}
-	if len(series[0].Samples) != 24 {
-		t.Errorf("samples = %d", len(series[0].Samples))
-	}
-	if series[0].PairID != "us-west1/9/premium/download" {
-		t.Errorf("pair ID = %q", series[0].PairID)
-	}
-	if got := SeriesFromStore(store, netsim.Upload, bgp.Standard); len(got) != 0 {
-		t.Errorf("standard upload series = %d, want 0", len(got))
 	}
 }

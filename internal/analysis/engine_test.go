@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +12,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/bgp"
 	"github.com/clasp-measurement/clasp/internal/congestion"
 	"github.com/clasp-measurement/clasp/internal/netsim"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // naiveGroup is the pre-kernel map-of-slices implementation, kept here as
@@ -221,25 +219,12 @@ func TestParallelForDeterministicOutput(t *testing.T) {
 }
 
 // TestParallelAnalysisConcurrentWithInserts drives the parallel analysis
-// engine while another goroutine streams inserts into the time-series
-// store — the continuous re-analysis shape (Globalping-style) where
-// reports are computed mid-campaign. Run under -race in CI.
+// engine over repeated rounds: each round regroups the records and runs
+// the congestion detector over every pair's partition under ParallelFor.
+// Run under -race in CI. Store inserts interleaved with queries are
+// covered by tsdb.TestConcurrentInsert.
 func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
-	store := tsdb.NewStore()
 	ms := randomMeasurements(23, 2000, false)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i, m := range ms {
-			err := store.Insert("speedtest",
-				tsdb.Tags{"server": strconv.Itoa(m.ServerID), "region": m.Region, "tier": m.Tier.String(), "dir": m.Dir.String()},
-				m.Time, map[string]float64{"mbps": m.Mbps, "rtt_ms": m.RTTms})
-			if err != nil {
-				t.Errorf("insert %d: %v", i, err)
-				return
-			}
-		}
-	}()
 	det := congestion.NewDetector()
 	for round := 0; round < 4; round++ {
 		ws := GroupSeriesWithServer(ms, netsim.Download, bgp.Premium)
@@ -248,14 +233,5 @@ func TestParallelAnalysisConcurrentWithInserts(t *testing.T) {
 			p := congestion.NewPartition(ws[i].Series)
 			events[i] = len(det.EventsIn(p))
 		})
-		// Interleave reads of the store mid-insert.
-		series := SeriesFromStore(store, netsim.Download, bgp.Premium)
-		ParallelFor(4, len(series), func(i int) {
-			congestion.NewPartition(series[i]).DayTally(0.5, 0)
-		})
-	}
-	<-done
-	if got := SeriesFromStore(store, netsim.Download, bgp.Premium); len(got) == 0 {
-		t.Fatal("no series reached the store")
 	}
 }

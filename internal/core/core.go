@@ -24,7 +24,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/selection"
 	"github.com/clasp-measurement/clasp/internal/speedchecker"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // CampaignStart is the virtual-time start of the paper's measurement
@@ -146,7 +145,6 @@ type CLASP struct {
 	Sim      *netsim.Sim
 	Cloud    *cloud.Platform
 	Bucket   *cloud.Bucket
-	Store    *tsdb.Store
 	Mapper   *bdrmap.Mapper
 	Resolver *alias.Prober
 	Checker  *speedchecker.Platform
@@ -247,7 +245,6 @@ func New(opts Options) (*CLASP, error) {
 		Sim:         sim,
 		Cloud:       platform,
 		Bucket:      bucket,
-		Store:       tsdb.NewStore(),
 		Mapper:      bdrmap.FromTopology(topo, resolver),
 		Resolver:    resolver,
 		Checker:     speedchecker.New(sim),
@@ -471,12 +468,6 @@ func (c *CLASP) RunDifferentialCampaign(region string, days, minSamples int) (*C
 	return res, p.DiffSel, nil
 }
 
-// storeIndexLimit bounds how large a campaign still gets indexed into the
-// shared time-series store. The store powers interactive queries; bulk
-// paper-scale campaigns (millions of records) stay in the returned result
-// to keep memory proportional to one campaign.
-const storeIndexLimit = 250_000
-
 // measurementBytes is the in-memory size of one analysis.Measurement,
 // used to estimate whether a campaign's record slice fits the memory
 // budget before running it.
@@ -524,9 +515,9 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	orch := orchestrator.New(c.Sim, c.Cloud, c.Bucket)
-	// est is the record-count upper bound the orchestrator plans for; the
-	// same estimate gates both the interactive store index and the
-	// streaming decision, so the choice is made before any record exists.
+	// est is the record-count upper bound the orchestrator plans for; it
+	// gates the streaming decision, so the choice is made before any
+	// record exists.
 	est := len(servers) * days * 24 * 2 * len(tiers)
 	var slice *orchestrator.SliceSink
 	var logSink *orchestrator.LogSink
@@ -539,9 +530,6 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 		sink = slice
 	}
 	sinks := orchestrator.MultiSink{sink}
-	if est <= storeIndexLimit {
-		sinks = append(sinks, &orchestrator.StoreSink{Store: c.Store})
-	}
 	// In-memory campaigns build their analysis views (per-pair series, day
 	// partitions) incrementally from the emit phase, so the grouping work
 	// the artifact renderers start from overlaps measurement. Streaming
@@ -606,7 +594,7 @@ func (c *CLASP) runCampaign(camp checkpoint.Campaign, servers []*topology.Server
 	if resume != nil {
 		// Replay the checkpointed records through the same sinks a live
 		// round's emit phase feeds, rebuilding the record slice/log, the
-		// store index and the next checkpoint's sidecar in one pass; the
+		// analysis prep and the next checkpoint's sidecar in one pass; the
 		// orchestrator then re-executes only from the watermark. Egress is
 		// re-metered per replayed record with the emit phase's formula, so
 		// a resumed `costs` bills the same transfers as an uninterrupted

@@ -26,7 +26,7 @@ func TestNewDefaults(t *testing.T) {
 	if c.Opts.Seed == 0 {
 		t.Error("seed not defaulted")
 	}
-	if c.Topo == nil || c.Sim == nil || c.Bucket == nil || c.Store == nil {
+	if c.Topo == nil || c.Sim == nil || c.Bucket == nil {
 		t.Error("components missing")
 	}
 }

@@ -157,8 +157,7 @@ func TestResumeCampaignRejectsMismatchedEngine(t *testing.T) {
 
 // TestStreamingResumeMatchesInMemory pins resume under the memory-budgeted
 // representation: a killed streaming campaign (records in a spillable
-// RecordLog, store index disabled or not) resumes into the same bytes as
-// the in-memory reference.
+// RecordLog) resumes into the same bytes as the in-memory reference.
 func TestStreamingResumeMatchesInMemory(t *testing.T) {
 	// Three days at this scale overflow the 1MB budget, forcing the
 	// streaming (RecordLog) representation on the killed and resumed runs.

@@ -24,7 +24,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"time"
 
@@ -39,7 +38,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/someta"
 	"github.com/clasp-measurement/clasp/internal/topology"
 	"github.com/clasp-measurement/clasp/internal/traceroute"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 // TestsPerVMPerHour is the paper's per-VM budget: each throughput test
@@ -89,8 +87,8 @@ func TestEgressBytes(m analysis.Measurement, durSec float64) int64 {
 //
 // A single Run delivers records from one goroutine, so any Sink works for
 // one campaign. Sinks shared across concurrently running campaigns must be
-// safe for concurrent use: StoreSink already is, SliceSink is not — wrap
-// it (or any other unsafe sink) in a LockedSink.
+// safe for concurrent use: SliceSink is not — wrap it (or any other
+// unsafe sink) in a LockedSink.
 type Sink interface {
 	Record(analysis.Measurement)
 }
@@ -125,49 +123,6 @@ func (l *LockedSink) Record(m analysis.Measurement) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.inner.Record(m)
-}
-
-// StoreSink indexes records into a time-series store. It is safe for
-// concurrent use: tsdb.Store shards its lock internally, and the sink
-// interns one series handle per (server, region, tier, dir) so repeated
-// records skip tag construction and canonical-key rendering.
-type StoreSink struct {
-	Store *tsdb.Store
-
-	handles sync.Map // storeSinkKey -> *tsdb.Handle
-}
-
-// storeSinkKey identifies one record stream's series.
-type storeSinkKey struct {
-	server int
-	region string
-	tier   bgp.Tier
-	dir    netsim.Direction
-}
-
-// Record implements Sink.
-func (s *StoreSink) Record(m analysis.Measurement) {
-	key := storeSinkKey{server: m.ServerID, region: m.Region, tier: m.Tier, dir: m.Dir}
-	var h *tsdb.Handle
-	if v, ok := s.handles.Load(key); ok {
-		h = v.(*tsdb.Handle)
-	} else {
-		// Handle errors are impossible for the generated tag values.
-		h, _ = s.Store.Handle("speedtest", tsdb.Tags{
-			"server": strconv.Itoa(m.ServerID),
-			"region": m.Region,
-			"tier":   m.Tier.String(),
-			"dir":    m.Dir.String(),
-		})
-		if v, loaded := s.handles.LoadOrStore(key, h); loaded {
-			h = v.(*tsdb.Handle)
-		}
-	}
-	_ = h.Insert(m.Time, map[string]float64{
-		"mbps":   m.Mbps,
-		"rtt_ms": m.RTTms,
-		"loss":   m.Loss,
-	})
 }
 
 // LogSink appends records into a columnar RecordLog — the streaming

@@ -14,7 +14,6 @@ import (
 	"github.com/clasp-measurement/clasp/internal/flowstats"
 	"github.com/clasp-measurement/clasp/internal/netsim"
 	"github.com/clasp-measurement/clasp/internal/topology"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
 )
 
 type fixture struct {
@@ -326,33 +325,6 @@ func TestTraceroutesUploaded(t *testing.T) {
 	data, _ := f.bucket.Get(keys[0])
 	if !strings.Contains(string(data), "hops") {
 		t.Error("traceroute JSON malformed")
-	}
-}
-
-func TestStoreSinkIndexes(t *testing.T) {
-	f := setup(t)
-	store := tsdb.NewStore()
-	_, err := f.orch.Run(Config{
-		Region:  "us-west1",
-		Servers: f.topo.Servers()[:4],
-		Days:    1,
-		Seed:    5,
-	}, MultiSink{&StoreSink{Store: store}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 servers x 1 tier x 2 directions = 8 series.
-	if store.SeriesCount() != 8 {
-		t.Errorf("series = %d, want 8", store.SeriesCount())
-	}
-	got := store.Query("speedtest", tsdb.Tags{"dir": "download"}, time.Time{}, time.Time{})
-	if len(got) != 4 {
-		t.Errorf("download series = %d", len(got))
-	}
-	for _, sr := range got {
-		if len(sr.Points) != 24 {
-			t.Errorf("series %v has %d points", sr.Tags, len(sr.Points))
-		}
 	}
 }
 

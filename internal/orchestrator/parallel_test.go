@@ -2,11 +2,12 @@ package orchestrator
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/clasp-measurement/clasp/internal/analysis"
 	"github.com/clasp-measurement/clasp/internal/bgp"
-	"github.com/clasp-measurement/clasp/internal/tsdb"
+	"github.com/clasp-measurement/clasp/internal/netsim"
 )
 
 // TestParallelMatchesSequential is the engine's determinism guarantee: a
@@ -110,12 +111,13 @@ func TestLockedSinkConcurrent(t *testing.T) {
 	}
 }
 
-// TestMultiSinkConcurrentFanOut fans records out to a store sink and a
-// locked slice sink from concurrent campaigns sharing one MultiSink.
+// TestMultiSinkConcurrentFanOut fans records out to an atomic-counting
+// sink and a locked slice sink from concurrent campaigns sharing one
+// MultiSink.
 func TestMultiSinkConcurrentFanOut(t *testing.T) {
-	store := tsdb.NewStore()
+	var counted atomic.Int64
 	slice := &SliceSink{}
-	sink := MultiSink{&StoreSink{Store: store}, NewLockedSink(slice)}
+	sink := MultiSink{SinkFunc(func(analysis.Measurement) { counted.Add(1) }), NewLockedSink(slice)}
 
 	f := setup(t)
 	servers := f.topo.Servers()
@@ -145,8 +147,20 @@ func TestMultiSinkConcurrentFanOut(t *testing.T) {
 	if len(slice.Out) != want {
 		t.Errorf("fanned-out records = %d, want %d", len(slice.Out), want)
 	}
+	if got := counted.Load(); got != int64(want) {
+		t.Errorf("counted records = %d, want %d", got, want)
+	}
 	// 4 servers x 2 dirs x 3 regions = 24 series.
-	if store.SeriesCount() != 24 {
-		t.Errorf("series = %d, want 24", store.SeriesCount())
+	type stream struct {
+		region string
+		server int
+		dir    netsim.Direction
+	}
+	streams := make(map[stream]bool)
+	for _, m := range slice.Out {
+		streams[stream{m.Region, m.ServerID, m.Dir}] = true
+	}
+	if len(streams) != 24 {
+		t.Errorf("series = %d, want 24", len(streams))
 	}
 }

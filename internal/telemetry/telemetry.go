@@ -60,9 +60,8 @@ type PipelineConfig struct {
 }
 
 // Pipeline owns a dedicated self-telemetry store and the scraper feeding
-// it. The store is separate from any campaign store on purpose: campaign
-// analysis never sees telemetry series, and sealing/retention policies can
-// differ.
+// it. The store holds only scraped obs series, so its sealing and
+// retention policies serve telemetry alone.
 type Pipeline struct {
 	Store   *tsdb.Store
 	Scraper *obs.Scraper

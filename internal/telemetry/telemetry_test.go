@@ -343,22 +343,22 @@ func TestBuildProgressCommands(t *testing.T) {
 	}
 }
 
-func TestDropBeforeKeepsHandles(t *testing.T) {
+// TestDropBeforeKeepsSeriesWritable pins that retention never divorces a
+// series from its later inserts: points inserted after DropBefore emptied
+// part, or all, of a series are still queryable.
+func TestDropBeforeKeepsSeriesWritable(t *testing.T) {
 	st := tsdb.NewStore()
-	h, err := st.Handle("m", tsdb.Tags{"k": "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tags := tsdb.Tags{"k": "v"}
 	for i := int64(0); i < 10; i++ {
-		if err := h.Insert(time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)}); err != nil {
+		if err := st.Insert("m", tags, time.Unix(i, 0).UTC(), map[string]float64{"f": float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := st.DropBefore(time.Unix(5, 0).UTC()); n != 5 {
 		t.Fatalf("dropped %d, want 5", n)
 	}
-	// Handle keeps working after retention emptied part of its series.
-	if err := h.Insert(time.Unix(20, 0).UTC(), map[string]float64{"f": 20}); err != nil {
+	// Inserts keep landing after retention emptied part of the series.
+	if err := st.Insert("m", tags, time.Unix(20, 0).UTC(), map[string]float64{"f": 20}); err != nil {
 		t.Fatal(err)
 	}
 	got := st.Query("m", nil, time.Time{}, time.Time{})
@@ -374,11 +374,14 @@ func TestDropBeforeKeepsHandles(t *testing.T) {
 	if got := st.Query("m", nil, time.Time{}, time.Time{}); len(got) != 0 {
 		t.Fatalf("expected no queryable points, got %+v", got)
 	}
-	if err := h.Insert(time.Unix(200, 0).UTC(), map[string]float64{"f": 1}); err != nil {
+	if err := st.Insert("m", tags, time.Unix(200, 0).UTC(), map[string]float64{"f": 1}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Query("m", nil, time.Time{}, time.Time{}); len(got) != 1 || len(got[0].Points) != 1 {
-		t.Fatalf("handle insert after full drop lost: %+v", got)
+		t.Fatalf("insert after full drop lost: %+v", got)
+	}
+	if n := st.SeriesCount(); n != 1 {
+		t.Fatalf("series = %d, want 1", n)
 	}
 }
 

@@ -33,15 +33,15 @@ func main() {
 }
 
 // coreSeries are the families the smoke campaign must populate with
-// nonzero values: cache effectiveness, measure latency, shard ingest and
-// campaign progress.
+// nonzero values: cache effectiveness, measure latency and campaign
+// progress. Shard ingest (tsdb_inserts_total) is checked after the
+// self-store scrape, its only writer.
 var coreSeries = []string{
 	"netsim_flowcache_hits_total",
 	"netsim_flowcache_misses_total",
 	"bgp_tree_cache_misses_total",
 	"bgp_link_cache_hits_total",
 	"netsim_measure_latency_ns_count",
-	"tsdb_inserts_total",
 	"campaign_tests_completed_total",
 	"campaign_someta_snapshots_total",
 	"cloud_egress_bytes_total",
@@ -123,13 +123,28 @@ func run() error {
 	// histograms produce the family (count/sum/rate) plus a "<family>_bucket"
 	// measurement whose series carry parseable le tags and the cum field.
 	// Inserting through the real store also proves every scraped name,
-	// tag and field passes tsdb ident validation.
+	// tag and field passes tsdb ident validation. The scrape's own inserts
+	// move the tsdb families, so the contract is checked against the
+	// registry as the scrape saw it, and shard ingest against the registry
+	// after it.
 	pipe := telemetry.NewPipeline(telemetry.PipelineConfig{})
+	samples := obs.Default().Samples()
 	if err := pipe.Cycle(); err != nil {
 		return fmt.Errorf("scrape cycle over campaign registry: %w", err)
 	}
+	prom.Reset()
+	if err := obs.Default().WriteProm(&prom); err != nil {
+		return fmt.Errorf("WriteProm after scrape: %w", err)
+	}
+	after, err := parseProm(prom.String())
+	if err != nil {
+		return err
+	}
+	if after["tsdb_inserts_total"] <= 0 {
+		return fmt.Errorf("core series tsdb_inserts_total is zero after a self-store scrape")
+	}
 	scraped := 0
-	for _, s := range obs.Default().Samples() {
+	for _, s := range samples {
 		series := pipe.Store.Query(s.Name, nil, time.Time{}, time.Time{})
 		if len(series) == 0 {
 			return fmt.Errorf("scrape: family %s has no self-store series", s.Name)

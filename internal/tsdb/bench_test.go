@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// benchTagSets mirrors a campaign's series population: one series per
-// (server, tier, dir), inserted round-robin the way StoreSink sees records.
+// benchTagSets builds a campaign-shaped series population: one series per
+// (server, tier, dir), inserted round-robin.
 func benchTagSets(n int) []Tags {
 	out := make([]Tags, 0, n*4)
 	for i := 0; i < n; i++ {
@@ -26,8 +26,9 @@ func benchTagSets(n int) []Tags {
 	return out
 }
 
-// BenchmarkInsert measures concurrent tagged inserts across many series:
-// the orchestrator's ingest shape at parallelism >= 4.
+// BenchmarkInsert measures concurrent tagged inserts across many series
+// from four writers at once, the contention shape the sharded lock is
+// built for.
 func BenchmarkInsert(b *testing.B) {
 	s := NewStore()
 	tagSets := benchTagSets(16)

@@ -310,64 +310,6 @@ func TestBlockStatsCompression(t *testing.T) {
 	}
 }
 
-// --- QueryView -------------------------------------------------------------------
-
-func TestQueryViewMatchesQuery(t *testing.T) {
-	s := NewStore()
-	s.SetSealThreshold(16)
-	fillStores(t, 300, s)
-	from := time.Date(2020, 5, 2, 0, 0, 0, 0, time.UTC)
-	q := s.Query("speedtest", Tags{"server": "b"}, from, time.Time{})
-	v := s.QueryView("speedtest", Tags{"server": "b"}, from, time.Time{})
-	if !reflect.DeepEqual(q, v) {
-		t.Fatal("QueryView differs from Query")
-	}
-	if !reflect.DeepEqual(s.Query("speedtest", nil, time.Time{}, time.Time{}),
-		s.QueryView("speedtest", nil, time.Time{}, time.Time{})) {
-		t.Fatal("unbounded QueryView differs from Query")
-	}
-}
-
-// TestQueryViewAliasesStore pins the aliasing contract both ways: the view
-// shares tail Fields maps and Tags with the store (that is the point — no
-// copies on the hot path), and because stored maps are never mutated after
-// insert, a reader holding a view stays correct across later inserts.
-func TestQueryViewAliasesStore(t *testing.T) {
-	s := NewStore()
-	s.SetSealThreshold(0) // all points in the tail, where sharing applies
-	at := time.Unix(100, 0).UTC()
-	if err := s.Insert("m", Tags{"k": "v"}, at, map[string]float64{"f": 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	view := s.QueryView("m", nil, time.Time{}, time.Time{})
-	copied := s.Query("m", nil, time.Time{}, time.Time{})
-
-	sh := s.shardFor(seriesKey("m", Tags{"k": "v"}))
-	stored := sh.series[seriesKey("m", Tags{"k": "v"})]
-
-	viewFields := reflect.ValueOf(view[0].Points[0].Fields).Pointer()
-	storeFields := reflect.ValueOf(stored.Points[0].Fields).Pointer()
-	copyFields := reflect.ValueOf(copied[0].Points[0].Fields).Pointer()
-	if viewFields != storeFields {
-		t.Fatal("QueryView tail Fields should alias the store")
-	}
-	if copyFields == storeFields {
-		t.Fatal("Query Fields must not alias the store")
-	}
-	if reflect.ValueOf(view[0].Tags).Pointer() != reflect.ValueOf(stored.Tags).Pointer() {
-		t.Fatal("QueryView Tags should alias the store")
-	}
-
-	// A later insert must not disturb the view's already-captured points.
-	if err := s.Insert("m", Tags{"k": "v"}, at.Add(time.Hour), map[string]float64{"f": 2}); err != nil {
-		t.Fatal(err)
-	}
-	if len(view[0].Points) != 1 || view[0].Points[0].Fields["f"] != 1 {
-		t.Fatal("view mutated by subsequent insert")
-	}
-}
-
 // --- Concurrency -----------------------------------------------------------------
 
 // TestWriteToConcurrentWithInserts is the -race pin for the shard-by-shard

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -91,63 +90,5 @@ func TestConcurrentInsertSameSeries(t *testing.T) {
 		if pts[i].Time.Before(pts[i-1].Time) {
 			t.Fatalf("points out of order at %d: %v < %v", i, pts[i].Time, pts[i-1].Time)
 		}
-	}
-}
-
-// TestHandleMatchesInsert asserts the interned-handle path is observably
-// identical to Store.Insert: same series, same points, same serialisation.
-func TestHandleMatchesInsert(t *testing.T) {
-	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
-	tagSets := benchTagSets(4)
-
-	plain := NewStore()
-	handled := NewStore()
-	for i, tags := range tagSets {
-		h, err := handled.Handle("speedtest", tags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 5; j++ {
-			at := base.Add(time.Duration(i*7+j) * time.Minute)
-			fields := map[string]float64{"mbps": float64(i*10 + j), "loss": 0.1}
-			if err := plain.Insert("speedtest", tags, at, fields); err != nil {
-				t.Fatal(err)
-			}
-			if err := h.Insert(at, fields); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	var a, b bytes.Buffer
-	if _, err := plain.WriteTo(&a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := handled.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("handle inserts serialise differently:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
-// TestHandleValidation pins the handle API's input checking.
-func TestHandleValidation(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Handle("bad measurement", nil); err == nil {
-		t.Fatal("expected error for measurement with space")
-	}
-	if _, err := s.Handle("m", Tags{"k": "a,b"}); err == nil {
-		t.Fatal("expected error for tag value with comma")
-	}
-	h, err := s.Handle("m", Tags{"k": "v"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Insert(time.Now(), nil); err == nil {
-		t.Fatal("expected error for point without fields")
-	}
-	if err := h.Insert(time.Now(), map[string]float64{"bad field": 1}); err == nil {
-		t.Fatal("expected error for field name with space")
 	}
 }

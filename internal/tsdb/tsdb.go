@@ -1,8 +1,10 @@
-// Package tsdb is the time-series store behind CLASP's data pipeline,
-// standing in for InfluxDB: an in-memory series store with tagged points,
-// an InfluxDB-style line protocol for persistence, time-range and tag
-// queries, and time-bucketed aggregation for the hourly/daily rollups the
-// congestion analysis consumes.
+// Package tsdb is CLASP's time-series store, standing in for InfluxDB: an
+// in-memory series store with tagged points, an InfluxDB-style line
+// protocol for persistence, time-range and tag queries, and time-bucketed
+// aggregation. It backs the telemetry self-store (internal/telemetry),
+// which scrapes the obs registry into it and serves windowed history from
+// it; campaign records are analysed from in-memory slices and
+// analysis.RecordLog instead.
 package tsdb
 
 import (
@@ -76,7 +78,7 @@ type Point struct {
 // Series is an ordered sequence of points for one measurement+tags. Inside
 // the store, older points may live in sealed compressed blocks (see
 // block.go) with Points holding only the mutable tail; series returned by
-// Query/QueryView always have everything decoded into Points.
+// Query always have everything decoded into Points.
 type Series struct {
 	Measurement string
 	Tags        Tags
@@ -96,7 +98,7 @@ type shard struct {
 
 // Store is a thread-safe collection of series. The lock is sharded by
 // series key: writers to distinct series take distinct locks; whole-store
-// readers (Query, QueryView, SeriesCount) lock every shard in order for a
+// readers (Query, SeriesCount) lock every shard in order for a
 // consistent snapshot, while WriteTo snapshots one shard at a time so
 // serialisation never stalls more than one shard's writers.
 type Store struct {
@@ -148,9 +150,8 @@ func (s *Store) BlockStats() (blocks, points, bytes int) {
 // is dropped only when its entire time range precedes the cutoff (blocks
 // are immutable; splitting one would mean decode + re-seal). The mutable
 // tail drops its strict prefix of points before the cutoff. Series entries
-// themselves are never removed, even when emptied: interned Handles hold
-// *Series pointers, and deleting the map entry would silently divorce a
-// handle's future inserts from queries.
+// themselves are never removed, even when emptied: later inserts into the
+// series land in the same entry, and SeriesCount keeps counting it.
 func (s *Store) DropBefore(cutoff time.Time) int {
 	cut := cutoff.UnixNano()
 	dropped := 0
@@ -274,67 +275,6 @@ func (sr *Series) insertPoint(p Point) {
 	sr.Points[idx] = p
 }
 
-// Handle is an interned reference to one series: the canonical tag string
-// is rendered and hashed once, so repeated inserts into the same series
-// (the orchestrator's sink pattern) skip key construction entirely.
-type Handle struct {
-	st *Store
-	sh *shard
-	sr *Series
-}
-
-// Handle interns a (measurement, tags) series, creating it if absent. Tags
-// are copied; later mutation of the argument does not affect the handle.
-func (s *Store) Handle(measurement string, tags Tags) (*Handle, error) {
-	if err := validateIdent(measurement); err != nil {
-		return nil, err
-	}
-	for k, v := range tags {
-		if err := validateIdent(k); err != nil {
-			return nil, err
-		}
-		if err := validateIdent(v); err != nil {
-			return nil, err
-		}
-	}
-	key := seriesKey(measurement, tags)
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sr := sh.series[key]
-	if sr == nil {
-		tcp := make(Tags, len(tags))
-		for k, v := range tags {
-			tcp[k] = v
-		}
-		sr = &Series{Measurement: measurement, Tags: tcp}
-		sh.series[key] = sr
-	}
-	return &Handle{st: s, sh: sh, sr: sr}, nil
-}
-
-// Insert adds a point to the handle's series. Fields are copied. Equivalent
-// to Store.Insert with the handle's measurement and tags.
-func (h *Handle) Insert(at time.Time, fields map[string]float64) error {
-	if len(fields) == 0 {
-		return fmt.Errorf("tsdb: point without fields")
-	}
-	for k := range fields {
-		if err := validateIdent(k); err != nil {
-			return err
-		}
-	}
-	cp := make(map[string]float64, len(fields))
-	for k, v := range fields {
-		cp[k] = v
-	}
-	lockShard(h.sh)
-	defer h.sh.mu.Unlock()
-	h.sr.insertSealed(Point{Time: at, Fields: cp}, h.st.sealThreshold)
-	obsShardInserts[h.sh.id].Inc()
-	return nil
-}
-
 // SeriesCount returns the number of distinct series.
 func (s *Store) SeriesCount() int {
 	defer s.lockAll()()
@@ -406,9 +346,9 @@ func (s *Store) Query(measurement string, match Tags, from, to time.Time) []Seri
 }
 
 // appendBlockPoints decodes the series' sealed blocks overlapping
-// [from, to) into dst. Decoded points carry fresh field maps either way, so
-// Query and QueryView share this path. Callers hold at least a read lock on
-// the owning shard.
+// [from, to) into dst. Decoded points carry fresh field maps, so Query
+// need not copy them. Callers hold at least a read lock on the owning
+// shard.
 func (sr *Series) appendBlockPoints(dst []Point, from, to time.Time) []Point {
 	for _, b := range sr.blocks {
 		if !from.IsZero() && b.maxNs < from.UnixNano() {
@@ -420,62 +360,6 @@ func (sr *Series) appendBlockPoints(dst []Point, from, to time.Time) []Point {
 		dst = b.appendPoints(dst, from, to)
 	}
 	return dst
-}
-
-// QueryView is Query without the defensive deep copy: the hot path for the
-// analysis engine, which reads millions of points and never mutates them.
-//
-// Aliasing contract: the returned Tags maps and the tail points' Fields
-// maps ALIAS live store memory. This is safe to read concurrently with
-// inserts — the store treats both as immutable after creation (Insert
-// copies its arguments into fresh maps and never mutates a stored map) —
-// but a caller that writes through a view corrupts the store. Treat every
-// map in the result as read-only; callers that need ownership must use
-// Query. Point structs themselves are copied (insertions memmove the
-// stored slice), so the Time/len structure of a view is stable. Pinned by
-// TestQueryViewAliasesStore and TestQueryViewMatchesQuery.
-func (s *Store) QueryView(measurement string, match Tags, from, to time.Time) []Series {
-	defer s.lockAll()()
-	byKey := make(map[string]*Series)
-	keys := make([]string, 0)
-	for i := range s.shards {
-		for k, sr := range s.shards[i].series {
-			if sr.Measurement != measurement {
-				continue
-			}
-			ok := true
-			for mk, mv := range match {
-				if sr.Tags[mk] != mv {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keys = append(keys, k)
-				byKey[k] = sr
-			}
-		}
-	}
-	sort.Strings(keys)
-	var out []Series
-	for _, k := range keys {
-		sr := byKey[k]
-		pts := sr.appendBlockPoints(nil, from, to)
-		for _, p := range sr.Points {
-			if !from.IsZero() && p.Time.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !p.Time.Before(to) {
-				continue
-			}
-			pts = append(pts, p) // struct copy; Fields map shared
-		}
-		if len(pts) == 0 {
-			continue
-		}
-		out = append(out, Series{Measurement: sr.Measurement, Tags: sr.Tags, Points: pts})
-	}
-	return out
 }
 
 // FieldValues flattens a queried series list into the values of one field.

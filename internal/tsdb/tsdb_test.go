@@ -60,6 +60,9 @@ func TestInsertValidation(t *testing.T) {
 	if err := s.Insert("m", nil, t0, nil); err == nil {
 		t.Error("fieldless point accepted")
 	}
+	if err := s.Insert("m", nil, t0, map[string]float64{"bad field": 1}); err == nil {
+		t.Error("space in field name accepted")
+	}
 }
 
 func TestOutOfOrderInsertKeptSorted(t *testing.T) {
