@@ -41,7 +41,7 @@ cover-check:
 		printf "cover-check: OK: internal/checkpoint coverage %.1f%% (floor %.1f%%)\n", got, min }'
 
 # bench runs the hot-path benchmarks (steady-state Measure, cold Measure,
-# sharded TSDB ingest) and records ns/op and allocs/op — joined with the
+# TSDB ingest) and records ns/op and allocs/op — joined with the
 # pre-overhaul baselines from BENCH_baseline.txt — in BENCH_hotpath.json.
 # A second pass records the observability numbers in BENCH_obs.json:
 # MeasureWarm vs MeasureWarmObs is the metrics-enabled overhead (budget 5%),
@@ -73,7 +73,7 @@ bench:
 		-note "fault injection: FaultsDisabledMeasureCtx vs MeasureWarm (BENCH_obs.json) is the nil-injector overhead on the fault-free campaign path, budget 0 allocs/op (pinned by TestMeasureCtxDisabledPathZeroAlloc); FaultsBeforeMeasureMiss is the per-test decision cost under an active profile; FaultsBackoff is the per-retry schedule computation" \
 		-out BENCH_faults.json
 	$(GO) test -run=^$$ -bench='BenchmarkAnalysis' -benchmem -count=3 \
-		./internal/analysis/ ./internal/congestion/ ./internal/tsdb/ . | tee -a /dev/stderr | \
+		./internal/analysis/ ./internal/congestion/ . | tee -a /dev/stderr | \
 		$(GO) run ./internal/tools/benchjson -baseline BENCH_analysis_baseline.txt \
 		-note "analysis engine: grouping and sweep kernels, percentile rollup, and the end-to-end CongestionReport; Speedup joins the pre-engine numbers in BENCH_analysis_baseline.txt (map-of-slices grouping, per-threshold re-splits, serial report)" \
 		-out BENCH_analysis.json
@@ -100,8 +100,10 @@ bench-smoke:
 
 # obs-smoke runs a tiny metrics-enabled campaign and asserts the Prometheus
 # dump parses, contains the core series (cache hit/miss, measure latency,
-# shard inserts, campaign progress), has no duplicate or unregistered
-# series, and agrees with the JSON snapshot.
+# campaign progress), has no duplicate or unregistered series, and agrees
+# with the JSON snapshot; then scrapes the registry into a self-telemetry
+# store and checks the scraped-series contract and that tsdb_inserts_total
+# counted the scrape's inserts.
 obs-smoke:
 	$(GO) run ./internal/tools/obssmoke
 

@@ -2,8 +2,8 @@
 // concurrency-safe metrics registry (counters, gauges, and histograms with
 // fixed log-scale buckets) plus lightweight phase-scoped tracing spans
 // (trace.go). It exists so the campaign engine's load-bearing subsystems —
-// the bgp route caches, the netsim flow cache, the sharded tsdb store, the
-// orchestrator's phases — expose what they are doing at runtime without
+// the bgp route caches, the netsim flow cache, the tsdb self-telemetry
+// store, the orchestrator's phases — expose what they are doing at runtime without
 // perturbing what they compute.
 //
 // # Disabled-path invariant

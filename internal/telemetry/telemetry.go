@@ -6,10 +6,12 @@
 // The pieces compose rather than assume each other:
 //
 //   - StoreAppender adapts *tsdb.Store to obs.Appender, closing the loop
-//     the import graph forbids obs from closing itself (tsdb instruments
-//     its shards against obs, so obs cannot import tsdb).
-//   - Pipeline bundles a dedicated self-telemetry store, a scraper feeding
-//     it on a cadence, and age-based retention via Store.DropBefore.
+//     the import graph forbids obs from closing itself (tsdb counts its
+//     inserts against obs, so obs cannot import tsdb).
+//   - Pipeline bundles a dedicated self-telemetry store, the scraper
+//     feeding it, the one loop that runs that scraper on a cadence, and
+//     age-based retention via Store.DropBefore. The scraper is the
+//     store's only writer.
 //   - HTTPMetrics is hijack-safe handler middleware recording per-route /
 //     per-status request-duration histograms (speedtestd's serving path).
 //   - HistoryHandler serves windowed JSON queries over the self-store
@@ -90,7 +92,7 @@ func NewPipeline(cfg PipelineConfig) *Pipeline {
 	store := tsdb.NewStore()
 	return &Pipeline{
 		Store:     store,
-		Scraper:   obs.NewScraper(cfg.Registry, StoreAppender{Store: store}, obs.ScrapeConfig{Interval: cfg.Interval, Now: cfg.Now}),
+		Scraper:   obs.NewScraper(cfg.Registry, StoreAppender{Store: store}, obs.ScrapeConfig{Now: cfg.Now}),
 		interval:  cfg.Interval,
 		retention: cfg.Retention,
 		now:       cfg.Now,

@@ -453,9 +453,23 @@ func TestPipelineStartStop(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	p.Stop()
-	p.Stop()
+	p.Stop() // idempotent
+	after := p.Scraper.Stats().Scrapes
+	time.Sleep(5 * time.Millisecond)
+	if got := p.Scraper.Stats().Scrapes; got != after {
+		t.Fatalf("pipeline kept scraping after Stop: %d -> %d", after, got)
+	}
 	if got := p.Store.Query("tick_total", nil, time.Time{}, time.Time{}); len(got) != 1 {
 		t.Fatalf("self-store series = %d, want 1", len(got))
+	}
+}
+
+func TestPipelineStopWithoutStart(t *testing.T) {
+	p := NewPipeline(PipelineConfig{Registry: obs.NewRegistry()})
+	p.Stop() // must not hang or panic
+	p.Stop()
+	if got := p.Scraper.Stats().Scrapes; got != 0 {
+		t.Fatalf("scrapes = %d without Start, want 0", got)
 	}
 }
 

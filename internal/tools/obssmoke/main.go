@@ -34,7 +34,7 @@ func main() {
 
 // coreSeries are the families the smoke campaign must populate with
 // nonzero values: cache effectiveness, measure latency and campaign
-// progress. Shard ingest (tsdb_inserts_total) is checked after the
+// progress. Self-store ingest (tsdb_inserts_total) is checked after the
 // self-store scrape, its only writer.
 var coreSeries = []string{
 	"netsim_flowcache_hits_total",
@@ -124,9 +124,9 @@ func run() error {
 	// measurement whose series carry parseable le tags and the cum field.
 	// Inserting through the real store also proves every scraped name,
 	// tag and field passes tsdb ident validation. The scrape's own inserts
-	// move the tsdb families, so the contract is checked against the
-	// registry as the scrape saw it, and shard ingest against the registry
-	// after it.
+	// move tsdb_inserts_total, so the contract is checked against the
+	// registry as the scrape saw it, and ingest against the registry after
+	// it.
 	pipe := telemetry.NewPipeline(telemetry.PipelineConfig{})
 	samples := obs.Default().Samples()
 	if err := pipe.Cycle(); err != nil {

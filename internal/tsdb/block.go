@@ -1,15 +1,15 @@
 // Sealed columnar blocks: when a series' mutable tail exceeds the store's
 // seal threshold, the tail is frozen into an immutable compressed block —
 // delta-of-delta varint timestamps plus one Gorilla XOR float column per
-// field (see internal/colenc). The sharded in-memory store stays the write
-// head; queries decode blocks on the fly, losslessly.
+// field (see internal/colenc). The in-memory store stays the write head;
+// queries decode blocks on the fly, losslessly.
 //
 // Sealed-block purity invariant: encode(points) followed by decode is
 // bit-identical to the input — timestamps to the nanosecond (normalised to
 // UTC) and field values to the IEEE-754 bit pattern, pinned by the
 // round-trip property tests and fuzzer in block_test.go. Nothing
-// downstream (Query, WriteTo, analysis) can observe whether a series was
-// sealed, except through memory use.
+// downstream (Query, WriteBlocks, BlockFile.Query) can observe whether a
+// series was sealed, except through memory use.
 
 package tsdb
 
@@ -125,15 +125,17 @@ func (b *block) appendPoints(dst []Point, from, to time.Time) []Point {
 		panic(fmt.Sprintf("tsdb: corrupt block: %v", err))
 	}
 	for i := range pts {
-		if !from.IsZero() && pts[i].Time.Before(from) {
-			continue
+		if inRange(pts[i].Time, from, to) {
+			dst = append(dst, pts[i])
 		}
-		if !to.IsZero() && !pts[i].Time.Before(to) {
-			continue
-		}
-		dst = append(dst, pts[i])
 	}
 	return dst
+}
+
+// overlaps reports whether a block spanning [minNs, maxNs] can hold points
+// in [from, to); zero bounds disable.
+func overlaps(minNs, maxNs int64, from, to time.Time) bool {
+	return (from.IsZero() || maxNs >= from.UnixNano()) && (to.IsZero() || minNs < to.UnixNano())
 }
 
 // decode reconstructs the block's points, appending to dst. Every point
@@ -235,7 +237,7 @@ func (sr *Series) sealedPoints() int {
 }
 
 // seal freezes the entire tail into one compressed block. Callers hold the
-// owning shard's write lock and guarantee a non-empty, time-sorted tail.
+// store's write lock and guarantee a non-empty, time-sorted tail.
 func (sr *Series) seal() {
 	sr.blocks = append(sr.blocks, encodeBlock(sr.Points))
 	sr.Points = nil
@@ -261,7 +263,7 @@ func (sr *Series) reopen() {
 
 // insertSealed adds a point to a series that may carry sealed blocks,
 // sealing the tail when it reaches threshold (0 disables sealing). Callers
-// hold the owning shard's write lock.
+// hold the store's write lock.
 func (sr *Series) insertSealed(p Point, threshold int) {
 	if n := len(sr.blocks); n > 0 && p.Time.UnixNano() < sr.blocks[n-1].maxNs {
 		sr.reopen()

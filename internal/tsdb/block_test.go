@@ -35,6 +35,21 @@ func pointsEqual(a, b []Point) bool {
 	return true
 }
 
+// seriesEqual compares query results series by series with pointsEqual,
+// so NaN fields compare by bit pattern where reflect.DeepEqual would fail.
+func seriesEqual(a, b []Series) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Measurement != b[i].Measurement || !reflect.DeepEqual(a[i].Tags, b[i].Tags) ||
+			!pointsEqual(a[i].Points, b[i].Points) {
+			return false
+		}
+	}
+	return true
+}
+
 func sortedTimes(ns []int64) []time.Time {
 	out := make([]time.Time, len(ns))
 	for i, v := range ns {
@@ -210,8 +225,9 @@ func fillStores(t testing.TB, n int, stores ...*Store) {
 }
 
 // TestSealedStoreMatchesUnsealed pins that sealing is invisible: Query
-// results and WriteTo bytes are identical whether blocks are enabled
-// (small threshold, many blocks) or disabled.
+// results, live and after a WriteBlocks → OpenBlockFile round trip, are
+// identical whether blocks are enabled (small threshold, many blocks) or
+// disabled.
 func TestSealedStoreMatchesUnsealed(t *testing.T) {
 	sealed, plain := NewStore(), NewStore()
 	sealed.SetSealThreshold(16)
@@ -242,15 +258,19 @@ func TestSealedStoreMatchesUnsealed(t *testing.T) {
 		t.Fatal("sealed range Query differs from unsealed")
 	}
 
-	var bs, bp bytes.Buffer
-	if _, err := sealed.WriteTo(&bs); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := plain.WriteTo(&bp); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs.Bytes(), bp.Bytes()) {
-		t.Fatal("sealed WriteTo differs from unsealed")
+	bfs, bfp := writeBlockFile(t, sealed), writeBlockFile(t, plain)
+	for _, r := range []struct{ from, to time.Time }{{}, {from, to}} {
+		fs, err := bfs.Query("speedtest", nil, r.from, r.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := bfp.Query("speedtest", nil, r.from, r.to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fs, fp) || !reflect.DeepEqual(fs, plain.Query("speedtest", nil, r.from, r.to)) {
+			t.Fatalf("block file Query over [%v, %v) differs between sealed and unsealed stores", r.from, r.to)
+		}
 	}
 }
 
@@ -310,37 +330,147 @@ func TestBlockStatsCompression(t *testing.T) {
 	}
 }
 
+// TestInsertOrderInvariantProperty pins that a series' stored content does
+// not depend on arrival order. Every order of the same points — shuffled,
+// reversed, a late older half, or sorted with stragglers that arrive after
+// the points around them were sealed (the reopen path) — must query exactly
+// like sorted insertion into an unsealed store, at seal thresholds 0 (never
+// seal), 8 (many small blocks) and 512 (the default), both live and after a
+// WriteBlocks → OpenBlockFile round trip.
+func TestInsertOrderInvariantProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 600 // more than 512, so sorted insertion seals at every threshold
+	pts := make([]Point, n)
+	at := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	for i := range pts {
+		// Distinct times: points with equal times keep their arrival order.
+		at = at.Add(time.Duration(1+rng.Intn(3600)) * time.Second)
+		f := map[string]float64{"mbps": rng.Float64() * 1000}
+		if rng.Intn(3) == 0 {
+			f["loss"] = rng.Float64() // sparse field
+		}
+		pts[i] = Point{Time: at, Fields: f}
+	}
+	insertAll := func(threshold int, order []int) *Store {
+		s := NewStore()
+		s.SetSealThreshold(threshold)
+		for _, i := range order {
+			if err := s.Insert("m", Tags{"k": "v"}, pts[i].Time, pts[i].Fields); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	sorted := make([]int, n)
+	reversed := make([]int, n)
+	for i := range sorted {
+		sorted[i], reversed[i] = i, n-1-i
+	}
+	var stragglers, late []int
+	for i := range sorted {
+		if i%37 != 5 {
+			stragglers = append(stragglers, i)
+		}
+	}
+	for i := range sorted {
+		if i%37 == 5 {
+			stragglers = append(stragglers, i)
+		}
+	}
+	late = append(append(late, sorted[n/2:]...), sorted[:n/2]...)
+	orders := []struct {
+		name  string
+		order []int
+	}{
+		{"sorted", sorted},
+		{"reversed", reversed},
+		{"shuffled", rng.Perm(n)},
+		{"late-half", late},
+		{"stragglers", stragglers},
+	}
+
+	ref := insertAll(0, sorted)
+	from, to := pts[n/3].Time, pts[2*n/3].Time // crosses block boundaries at threshold 8
+	for _, r := range []struct{ from, to time.Time }{{}, {from, to}} {
+		want := ref.Query("m", nil, r.from, r.to)
+		for _, threshold := range []int{0, 8, DefaultSealThreshold} {
+			for _, o := range orders {
+				s := insertAll(threshold, o.order)
+				if got := s.Query("m", nil, r.from, r.to); !seriesEqual(got, want) {
+					t.Fatalf("threshold %d, %s order, [%v, %v): Query differs from sorted insertion", threshold, o.name, r.from, r.to)
+				}
+				got, err := writeBlockFile(t, s).Query("m", nil, r.from, r.to)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !seriesEqual(got, want) {
+					t.Fatalf("threshold %d, %s order, [%v, %v): block file Query differs from sorted insertion", threshold, o.name, r.from, r.to)
+				}
+			}
+		}
+	}
+}
+
 // --- Concurrency -----------------------------------------------------------------
 
-// TestWriteToConcurrentWithInserts is the -race pin for the shard-by-shard
-// snapshot: serialisation runs while writers insert, and every serialised
-// store must itself parse back cleanly.
-func TestWriteToConcurrentWithInserts(t *testing.T) {
+// TestWriteBlocksConcurrentWithInserts is the -race pin for the single-lock
+// snapshot: WriteBlocks → OpenBlockFile round trips run while one goroutine
+// inserts round-robin into four series and another queries. Each file must
+// hold one store state: every series a gap-free prefix of its inserts, and
+// the four prefixes as long as a round-robin writer leaves them at one
+// instant (earlier series at most one point ahead of later ones).
+func TestWriteBlocksConcurrentWithInserts(t *testing.T) {
 	s := NewStore()
 	s.SetSealThreshold(32)
 	base := time.Date(2020, 5, 1, 0, 0, 0, 0, time.UTC)
+	const series, perSeries = 4, 600
+	server := func(k int) string { return string(rune('a' + k)) }
+	done := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			tags := Tags{"server": string(rune('a' + g))}
-			for i := 0; i < 600; i++ {
-				at := base.Add(time.Duration(i) * time.Minute)
-				if err := s.Insert("speedtest", tags, at, map[string]float64{"mbps": float64(i)}); err != nil {
-					t.Error(err)
-					return
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < series*perSeries; i++ {
+			seq := i / series
+			err := s.Insert("speedtest", Tags{"server": server(i % series)}, base.Add(time.Duration(seq)*time.Minute),
+				map[string]float64{"seq": float64(seq)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				s.Query("speedtest", Tags{"server": server(0)}, time.Time{}, time.Time{})
+			}
+		}
+	}()
+	for round := 0; round < 6; round++ {
+		got, err := writeBlockFile(t, s).Query("speedtest", nil, time.Time{}, time.Time{})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		counts := make([]int, series)
+		for _, sr := range got {
+			k := int(sr.Tags["server"][0] - 'a')
+			for j, p := range sr.Points {
+				if p.Fields["seq"] != float64(j) {
+					t.Fatalf("round %d: series %s point %d has seq %v", round, sr.Tags["server"], j, p.Fields["seq"])
 				}
 			}
-		}(g)
-	}
-	for round := 0; round < 6; round++ {
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+			counts[k] = len(sr.Points)
 		}
-		if _, err := Read(&buf); err != nil {
-			t.Fatalf("round %d: serialised store does not parse: %v", round, err)
+		for k := 1; k < series; k++ {
+			if counts[k] > counts[k-1] || counts[k] < counts[0]-1 {
+				t.Fatalf("round %d: per-series counts %v are not one store state", round, counts)
+			}
 		}
 	}
 	wg.Wait()

@@ -46,8 +46,9 @@ func (c *countWriter) Write(p []byte) (int, error) {
 
 // WriteBlocks serialises the store in the block file format. Tails that
 // have not reached the seal threshold are encoded into transient blocks on
-// the fly without mutating the store. The snapshot is shard-by-shard, like
-// WriteTo. Returns the bytes written.
+// the fly without mutating the store. The snapshot is taken under one read
+// lock, so the file holds one consistent store state even while inserts
+// run. Returns the bytes written.
 func (s *Store) WriteBlocks(w io.Writer) (int64, error) {
 	snaps := s.snapshotSeries()
 	cw := &countWriter{w: w}
@@ -262,15 +263,6 @@ func (bf *BlockFile) Close() error { return bf.f.Close() }
 // SeriesCount returns the number of series in the file.
 func (bf *BlockFile) SeriesCount() int { return len(bf.series) }
 
-// Keys returns the series keys in index (sorted) order.
-func (bf *BlockFile) Keys() []string {
-	keys := make([]string, len(bf.series))
-	for i := range bf.series {
-		keys[i] = bf.series[i].key
-	}
-	return keys
-}
-
 // Query selects points with Store.Query semantics (tag match, [from, to)
 // bounds, series sorted by key, deep-owned results) but reads and decodes
 // only the sections of matching series. Blocks wholly outside the time
@@ -280,17 +272,7 @@ func (bf *BlockFile) Query(measurement string, match Tags, from, to time.Time) (
 	var out []Series
 	for i := range bf.series {
 		e := &bf.series[i]
-		if e.measurement != measurement {
-			continue
-		}
-		ok := true
-		for mk, mv := range match {
-			if e.tags[mk] != mv {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if e.measurement != measurement || !matchTags(e.tags, match) {
 			continue
 		}
 		pts, err := bf.readSeries(e, from, to)
@@ -347,10 +329,7 @@ func (bf *BlockFile) readSeries(e *blockFileSeries, from, to time.Time) ([]Point
 		}
 		data := raw[k : k+int(dl)]
 		raw = raw[k+int(dl):]
-		if !from.IsZero() && maxNs < from.UnixNano() {
-			continue
-		}
-		if !to.IsZero() && minNs >= to.UnixNano() {
+		if !overlaps(minNs, maxNs, from, to) {
 			continue
 		}
 		b := &block{n: int(n64), minNs: minNs, maxNs: maxNs, data: data}
@@ -359,13 +338,9 @@ func (bf *BlockFile) readSeries(e *blockFileSeries, from, to time.Time) ([]Point
 			return nil, fmt.Errorf("tsdb: block file %q: %w", e.key, err)
 		}
 		for i := range decoded {
-			if !from.IsZero() && decoded[i].Time.Before(from) {
-				continue
+			if inRange(decoded[i].Time, from, to) {
+				pts = append(pts, decoded[i])
 			}
-			if !to.IsZero() && !decoded[i].Time.Before(to) {
-				continue
-			}
-			pts = append(pts, decoded[i])
 		}
 	}
 	return pts, nil

@@ -2,10 +2,13 @@ package tsdb
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -210,5 +213,107 @@ func TestParseSeriesKey(t *testing.T) {
 	}
 	if _, _, err := parseSeriesKey("m,broken"); err == nil {
 		t.Fatal("bad tag should fail")
+	}
+}
+
+// TestRoundTripProperty: random stores — several series, colliding and
+// out-of-order timestamps, a random seal threshold — query identically
+// after a WriteBlocks → OpenBlockFile round trip, and WriteBlocks is
+// deterministic (two dumps of one store are byte-identical).
+func TestRoundTripProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		s.SetSealThreshold([]int{0, 4, DefaultSealThreshold}[rng.Intn(3)])
+		for i := 0; i < 30; i++ {
+			tags := Tags{"s": string(rune('a' + rng.Intn(5)))}
+			at := t0.Add(time.Duration(rng.Intn(1000)) * time.Minute)
+			s.Insert("m", tags, at, map[string]float64{"v": rng.Float64() * 1000})
+		}
+		got, err := writeBlockFile(t, s).Query("m", nil, time.Time{}, time.Time{})
+		if err != nil || !reflect.DeepEqual(got, s.Query("m", nil, time.Time{}, time.Time{})) {
+			t.Logf("seed %d: block file query diverged (err %v)", seed, err)
+			return false
+		}
+		var b1, b2 bytes.Buffer
+		if _, err := s.WriteBlocks(&b1); err != nil {
+			return false
+		}
+		if _, err := s.WriteBlocks(&b2); err != nil {
+			return false
+		}
+		return bytes.Equal(b1.Bytes(), b2.Bytes())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRoundTripEdgeCasesProperty: the block file round-trips the value
+// edge cases telemetry and scenario fixtures can produce — NaN (with
+// payload), ±Inf, −0, denormals and tiny g-format exponents, timestamps
+// before, at and after the epoch, multi-field and sparse points, several
+// measurements, and tag-less series. Queried points must match the live
+// store bit for bit.
+func TestRoundTripEdgeCasesProperty(t *testing.T) {
+	fieldNames := []string{"v", "mbps", "rtt_ms", "loss"}
+	specials := []float64{
+		math.Float64frombits(0x7ff8000000000001), math.NaN(),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		5e-324, math.Float64frombits(0x000fffffffffffff), 1e-07,
+	}
+	measurements := []string{"m", "n"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewStore()
+		s.SetSealThreshold([]int{0, 4, DefaultSealThreshold}[rng.Intn(3)])
+		for i := 0; i < 40; i++ {
+			var tags Tags
+			if rng.Intn(3) > 0 { // one third of points land in tag-less series
+				tags = Tags{"s": string(rune('a' + rng.Intn(3)))}
+			}
+			// Timestamps straddle the epoch: negative, zero and positive
+			// nanosecond counts all occur.
+			at := time.Unix(0, rng.Int63n(2_000_000)-1_000_000).UTC()
+			if i == 0 {
+				at = time.Unix(0, 0).UTC()
+			}
+			fields := make(map[string]float64)
+			for _, fn := range fieldNames[:1+rng.Intn(len(fieldNames))] {
+				if rng.Intn(2) == 0 && fn != "v" {
+					continue // sparse: some points lack this field
+				}
+				v := rng.NormFloat64() * 1e3
+				switch rng.Intn(4) {
+				case 0:
+					v = specials[rng.Intn(len(specials))]
+				case 1:
+					v = rng.Float64() * 1e-7
+				case 2:
+					v = -v
+				}
+				fields[fn] = v
+			}
+			if err := s.Insert(measurements[rng.Intn(len(measurements))], tags, at, fields); err != nil {
+				t.Logf("seed %d: insert: %v", seed, err)
+				return false
+			}
+		}
+		bf := writeBlockFile(t, s)
+		for _, m := range measurements {
+			got, err := bf.Query(m, nil, time.Time{}, time.Time{})
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			if !seriesEqual(got, s.Query(m, nil, time.Time{}, time.Time{})) {
+				t.Logf("seed %d: %s series diverged after round trip", seed, m)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Error(err)
 	}
 }

@@ -1,52 +1,25 @@
 // Package tsdb is CLASP's time-series store, standing in for InfluxDB: an
-// in-memory series store with tagged points, an InfluxDB-style line
-// protocol for persistence, time-range and tag queries, and time-bucketed
-// aggregation. It backs the telemetry self-store (internal/telemetry),
-// which scrapes the obs registry into it and serves windowed history from
-// it; campaign records are analysed from in-memory slices and
+// in-memory series store with tagged points, sealed compressed blocks
+// (block.go), time-range and tag queries, and an indexed block file for
+// persistence (blockfile.go). It backs the telemetry self-store
+// (internal/telemetry): one scraper inserts into it, and windowed history
+// reads query it. Campaign records are analysed from in-memory slices and
 // analysis.RecordLog instead.
 package tsdb
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"github.com/clasp-measurement/clasp/internal/obs"
-	"github.com/clasp-measurement/clasp/internal/stats"
 )
 
-// Ingest telemetry (see DESIGN.md §8): per-shard insert counts expose the
-// lock-stripe distribution, and the lock-wait histogram is a contention
-// proxy — it times the Lock() acquisition itself, so queueing behind
-// another writer shows up as a fat tail. Both no-op while the obs registry
-// is disabled.
-var (
-	obsShardInserts [numShards]*obs.Counter
-	obsLockWait     = obs.Default().Histogram("tsdb_lock_wait_ns")
-)
-
-func init() {
-	for i := range obsShardInserts {
-		obsShardInserts[i] = obs.Default().Counter("tsdb_inserts_total", "shard", strconv.Itoa(i))
-	}
-}
-
-// lockShard write-locks sh, timing the acquisition when metrics are on.
-func lockShard(sh *shard) {
-	if !obs.Enabled() {
-		sh.mu.Lock()
-		return
-	}
-	start := time.Now()
-	sh.mu.Lock()
-	obsLockWait.Observe(float64(time.Since(start)))
-}
+// obsInserts counts accepted inserts (DESIGN.md §8); it no-ops while the
+// obs registry is disabled.
+var obsInserts = obs.Default().Counter("tsdb_inserts_total")
 
 // Tags are the indexed dimensions of a series (server, region, tier,
 // direction, ...). Values must not contain spaces or commas.
@@ -86,34 +59,18 @@ type Series struct {
 	blocks      []*block // sealed runs preceding the tail, time-ordered
 }
 
-// numShards stripes the store lock by series-key hash so concurrent
-// inserts into different series rarely contend. Must be a power of two.
-const numShards = 16
-
-type shard struct {
-	id     int // index into obsShardInserts
-	mu     sync.RWMutex
-	series map[string]*Series
-}
-
-// Store is a thread-safe collection of series. The lock is sharded by
-// series key: writers to distinct series take distinct locks; whole-store
-// readers (Query, SeriesCount) lock every shard in order for a
-// consistent snapshot, while WriteTo snapshots one shard at a time so
-// serialisation never stalls more than one shard's writers.
+// Store is a thread-safe collection of series under one lock: Insert and
+// DropBefore take it for writing; Query, SeriesCount, BlockStats and the
+// snapshot behind WriteBlocks take it for reading.
 type Store struct {
-	shards        [numShards]shard
+	mu            sync.RWMutex
+	series        map[string]*Series
 	sealThreshold int
 }
 
 // NewStore creates an empty store with sealing at DefaultSealThreshold.
 func NewStore() *Store {
-	s := &Store{sealThreshold: DefaultSealThreshold}
-	for i := range s.shards {
-		s.shards[i].id = i
-		s.shards[i].series = make(map[string]*Series)
-	}
-	return s
+	return &Store{series: make(map[string]*Series), sealThreshold: DefaultSealThreshold}
 }
 
 // SetSealThreshold changes the tail length at which a series is sealed
@@ -131,14 +88,13 @@ func (s *Store) SetSealThreshold(n int) {
 // blocks, points held inside them, and their total encoded bytes. Used by
 // the compression benchmarks and tests.
 func (s *Store) BlockStats() (blocks, points, bytes int) {
-	defer s.lockAll()()
-	for i := range s.shards {
-		for _, sr := range s.shards[i].series {
-			for _, b := range sr.blocks {
-				blocks++
-				points += b.n
-				bytes += len(b.data)
-			}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, sr := range s.series {
+		for _, b := range sr.blocks {
+			blocks++
+			points += b.n
+			bytes += len(b.data)
 		}
 	}
 	return blocks, points, bytes
@@ -155,56 +111,31 @@ func (s *Store) BlockStats() (blocks, points, bytes int) {
 func (s *Store) DropBefore(cutoff time.Time) int {
 	cut := cutoff.UnixNano()
 	dropped := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, sr := range sh.series {
-			if len(sr.blocks) > 0 {
-				keep := sr.blocks[:0:0] // fresh backing; snapshots may share the old one
-				for _, b := range sr.blocks {
-					if b.maxNs < cut {
-						dropped += b.n
-						continue
-					}
-					keep = append(keep, b)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sr := range s.series {
+		if len(sr.blocks) > 0 {
+			keep := sr.blocks[:0:0] // fresh backing; snapshots may share the old one
+			for _, b := range sr.blocks {
+				if b.maxNs < cut {
+					dropped += b.n
+					continue
 				}
-				sr.blocks = keep
+				keep = append(keep, b)
 			}
-			idx := sort.Search(len(sr.Points), func(j int) bool { return !sr.Points[j].Time.Before(cutoff) })
-			if idx > 0 {
-				dropped += idx
-				sr.Points = append(sr.Points[:0:0], sr.Points[idx:]...)
-			}
+			sr.blocks = keep
 		}
-		sh.mu.Unlock()
+		idx := sort.Search(len(sr.Points), func(j int) bool { return !sr.Points[j].Time.Before(cutoff) })
+		if idx > 0 {
+			dropped += idx
+			sr.Points = append(sr.Points[:0:0], sr.Points[idx:]...)
+		}
 	}
 	return dropped
 }
 
 func seriesKey(measurement string, tags Tags) string {
 	return measurement + tags.canonical()
-}
-
-// shardFor hashes a series key (FNV-1a) onto its shard.
-func (s *Store) shardFor(key string) *shard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return &s.shards[h&(numShards-1)]
-}
-
-// lockAll read-locks every shard in index order and returns the unlock.
-func (s *Store) lockAll() func() {
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-	}
-	return func() {
-		for i := range s.shards {
-			s.shards[i].mu.RUnlock()
-		}
-	}
 }
 
 func validateIdent(s string) error {
@@ -243,25 +174,24 @@ func (s *Store) Insert(measurement string, tags Tags, at time.Time, fields map[s
 		cp[k] = v
 	}
 	key := seriesKey(measurement, tags)
-	sh := s.shardFor(key)
-	lockShard(sh)
-	defer sh.mu.Unlock()
-	sr := sh.series[key]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sr := s.series[key]
 	if sr == nil {
 		tcp := make(Tags, len(tags))
 		for k, v := range tags {
 			tcp[k] = v
 		}
 		sr = &Series{Measurement: measurement, Tags: tcp}
-		sh.series[key] = sr
+		s.series[key] = sr
 	}
 	sr.insertSealed(Point{Time: at, Fields: cp}, s.sealThreshold)
-	obsShardInserts[sh.id].Inc()
+	obsInserts.Inc()
 	return nil
 }
 
 // insertPoint adds a point keeping Points time-sorted. Callers hold the
-// owning shard's write lock.
+// store's write lock.
 func (sr *Series) insertPoint(p Point) {
 	at := p.Time
 	// Fast path: append in time order.
@@ -277,12 +207,9 @@ func (sr *Series) insertPoint(p Point) {
 
 // SeriesCount returns the number of distinct series.
 func (s *Store) SeriesCount() int {
-	defer s.lockAll()()
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].series)
-	}
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.series)
 }
 
 // Query selects points from series of a measurement whose tags match all
@@ -294,37 +221,21 @@ func (s *Store) SeriesCount() int {
 // owned by the caller, so mutating a query result never corrupts stored
 // samples (pinned by TestQueryResultsDoNotAliasStore).
 func (s *Store) Query(measurement string, match Tags, from, to time.Time) []Series {
-	defer s.lockAll()()
-	byKey := make(map[string]*Series)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	keys := make([]string, 0)
-	for i := range s.shards {
-		for k, sr := range s.shards[i].series {
-			if sr.Measurement != measurement {
-				continue
-			}
-			ok := true
-			for mk, mv := range match {
-				if sr.Tags[mk] != mv {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				keys = append(keys, k)
-				byKey[k] = sr
-			}
+	for k, sr := range s.series {
+		if sr.Measurement == measurement && matchTags(sr.Tags, match) {
+			keys = append(keys, k)
 		}
 	}
 	sort.Strings(keys)
 	var out []Series
 	for _, k := range keys {
-		sr := byKey[k]
+		sr := s.series[k]
 		pts := sr.appendBlockPoints(nil, from, to)
 		for _, p := range sr.Points {
-			if !from.IsZero() && p.Time.Before(from) {
-				continue
-			}
-			if !to.IsZero() && !p.Time.Before(to) {
+			if !inRange(p.Time, from, to) {
 				continue
 			}
 			fields := make(map[string]float64, len(p.Fields))
@@ -345,304 +256,57 @@ func (s *Store) Query(measurement string, match Tags, from, to time.Time) []Seri
 	return out
 }
 
+// matchTags reports whether tags carries every entry of match.
+func matchTags(tags, match Tags) bool {
+	for mk, mv := range match {
+		if tags[mk] != mv {
+			return false
+		}
+	}
+	return true
+}
+
+// inRange reports whether t lies in [from, to); zero bounds disable.
+func inRange(t, from, to time.Time) bool {
+	return (from.IsZero() || !t.Before(from)) && (to.IsZero() || t.Before(to))
+}
+
 // appendBlockPoints decodes the series' sealed blocks overlapping
 // [from, to) into dst. Decoded points carry fresh field maps, so Query
-// need not copy them. Callers hold at least a read lock on the owning
-// shard.
+// need not copy them. Callers hold at least the store's read lock.
 func (sr *Series) appendBlockPoints(dst []Point, from, to time.Time) []Point {
 	for _, b := range sr.blocks {
-		if !from.IsZero() && b.maxNs < from.UnixNano() {
-			continue
+		if overlaps(b.minNs, b.maxNs, from, to) {
+			dst = b.appendPoints(dst, from, to)
 		}
-		if !to.IsZero() && b.minNs >= to.UnixNano() {
-			continue
-		}
-		dst = b.appendPoints(dst, from, to)
 	}
 	return dst
 }
 
-// FieldValues flattens a queried series list into the values of one field.
-func FieldValues(series []Series, field string) []float64 {
-	var out []float64
-	for _, sr := range series {
-		for _, p := range sr.Points {
-			if v, ok := p.Fields[field]; ok {
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// Aggregator reduces a bucket of values to one value. GroupByTime only
-// invokes aggregators with non-empty buckets; the built-ins additionally
-// guard the empty case for direct callers, returning 0 rather than NaN
-// (AggMean's old behaviour) or panicking (AggMax/AggMin/AggPercentile).
-type Aggregator func([]float64) float64
-
-// Built-in aggregators.
-var (
-	AggMean Aggregator = func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}
-	AggMax Aggregator = func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x > m {
-				m = x
-			}
-		}
-		return m
-	}
-	AggMin Aggregator = func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		m := xs[0]
-		for _, x := range xs[1:] {
-			if x < m {
-				m = x
-			}
-		}
-		return m
-	}
-)
-
-// aggScratch pools the sort buffer behind AggPercentile so per-bucket
-// rollups stop allocating once the pool is warm.
-var aggScratch = sync.Pool{New: func() any { b := make([]float64, 0, 64); return &b }}
-
-// AggPercentile returns an aggregator for the p-th percentile (0-100),
-// linearly interpolated — the rollup behind the paper's p95/p5 plots.
-// Returns 0 on an empty bucket (see Aggregator).
-func AggPercentile(p float64) Aggregator {
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	return func(xs []float64) float64 {
-		if len(xs) == 0 {
-			return 0
-		}
-		// Selection, not a sort: rollup buckets are small and only the two
-		// bracketing order statistics matter. Typical buckets (hourly
-		// rollups) fit the stack buffer; larger ones borrow pooled scratch.
-		var a [32]float64
-		if len(xs) <= len(a) {
-			t := a[:len(xs)]
-			copy(t, xs)
-			v, _ := stats.PercentileInPlace(t, p)
-			return v
-		}
-		bp := aggScratch.Get().(*[]float64)
-		s := append((*bp)[:0], xs...)
-		v, _ := stats.PercentileInPlace(s, p)
-		*bp = s
-		aggScratch.Put(bp)
-		return v
-	}
-}
-
-// Bucket is one aggregated time window.
-type Bucket struct {
-	Start time.Time
-	Value float64
-	N     int
-}
-
-// GroupByTime buckets one series' field by window and aggregates each
-// bucket. Buckets align to the Unix epoch. Empty buckets are never
-// materialised, so agg is always called with at least one value.
-//
-// Bucket starts are computed in nanoseconds with a floored modulo, so
-// sub-second windows work (the old seconds-based arithmetic divided by
-// int64(window.Seconds()) == 0 for window < time.Second) and pre-epoch
-// points round down rather than toward zero.
-func GroupByTime(sr Series, field string, window time.Duration, agg Aggregator) []Bucket {
-	if window <= 0 || agg == nil {
-		return nil
-	}
-	w := window.Nanoseconds()
-	byStart := make(map[int64][]float64)
-	for _, p := range sr.Points {
-		v, ok := p.Fields[field]
-		if !ok {
-			continue
-		}
-		ns := p.Time.UnixNano()
-		rem := ns % w
-		if rem < 0 {
-			rem += w
-		}
-		byStart[ns-rem] = append(byStart[ns-rem], v)
-	}
-	starts := make([]int64, 0, len(byStart))
-	for s := range byStart {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	out := make([]Bucket, 0, len(starts))
-	for _, st := range starts {
-		xs := byStart[st]
-		out = append(out, Bucket{Start: time.Unix(0, st).UTC(), Value: agg(xs), N: len(xs)})
-	}
-	return out
-}
-
-// --- Line protocol -------------------------------------------------------------
-
-// seriesSnap is a point-in-time copy of one series taken under its shard's
+// seriesSnap is a point-in-time copy of one series taken under the store's
 // read lock: blocks are immutable and shared, tail Point structs are copied
 // (insertions memmove the live slice) while their Fields maps are shared
-// (never mutated after insert), and Tags are shared for the same reason.
+// (never mutated after insert).
 type seriesSnap struct {
-	key         string
-	measurement string
-	tags        Tags
-	blocks      []*block
-	tail        []Point
+	key    string
+	blocks []*block
+	tail   []Point
 }
 
-// snapshotSeries collects a consistent-per-shard snapshot of every series,
-// holding only one shard's read lock at a time so concurrent inserts stall
-// for at most one shard, not the whole store (pinned by the -race test
-// TestWriteToConcurrentWithInserts).
+// snapshotSeries copies every series under one read lock, so the snapshot
+// is one consistent store state; encoding it then runs without the lock
+// (pinned by the -race test TestWriteBlocksConcurrentWithInserts).
 func (s *Store) snapshotSeries() []seriesSnap {
-	var snaps []seriesSnap
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, sr := range sh.series {
-			snaps = append(snaps, seriesSnap{
-				key:         k,
-				measurement: sr.Measurement,
-				tags:        sr.Tags,
-				blocks:      append([]*block(nil), sr.blocks...),
-				tail:        append([]Point(nil), sr.Points...),
-			})
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	snaps := make([]seriesSnap, 0, len(s.series))
+	for k, sr := range s.series {
+		snaps = append(snaps, seriesSnap{
+			key:    k,
+			blocks: append([]*block(nil), sr.blocks...),
+			tail:   append([]Point(nil), sr.Points...),
+		})
 	}
+	s.mu.RUnlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].key < snaps[j].key })
 	return snaps
-}
-
-// WriteTo serialises the store in InfluxDB line protocol, sorted by series
-// key then time. The snapshot is taken shard-by-shard: each series is
-// internally consistent and the output is a valid store state, but series
-// on different shards may be captured at slightly different instants when
-// inserts run concurrently.
-func (s *Store) WriteTo(w io.Writer) (int64, error) {
-	snaps := s.snapshotSeries()
-	bw := bufio.NewWriter(w)
-	var n int64
-	var scratch []Point
-	for _, snap := range snaps {
-		scratch = scratch[:0]
-		for _, b := range snap.blocks {
-			scratch = b.appendPoints(scratch, time.Time{}, time.Time{})
-		}
-		scratch = append(scratch, snap.tail...)
-		for _, p := range scratch {
-			fields := make([]string, 0, len(p.Fields))
-			for fk := range p.Fields {
-				fields = append(fields, fk)
-			}
-			sort.Strings(fields)
-			var fb strings.Builder
-			for i, fk := range fields {
-				if i > 0 {
-					fb.WriteByte(',')
-				}
-				fmt.Fprintf(&fb, "%s=%s", fk, strconv.FormatFloat(p.Fields[fk], 'g', -1, 64))
-			}
-			c, err := fmt.Fprintf(bw, "%s%s %s %d\n", snap.measurement, snap.tags.canonical(), fb.String(), p.Time.UnixNano())
-			n += int64(c)
-			if err != nil {
-				return n, err
-			}
-		}
-	}
-	return n, bw.Flush()
-}
-
-// Read parses line protocol into a new store.
-func Read(r io.Reader) (*Store, error) {
-	s := NewStore()
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		measurement, tags, fields, ts, err := ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("tsdb: line %d: %w", lineNo, err)
-		}
-		if err := s.Insert(measurement, tags, ts, fields); err != nil {
-			return nil, fmt.Errorf("tsdb: line %d: %w", lineNo, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// ParseLine parses one line-protocol record:
-// measurement[,tag=value...] field=value[,field=value...] [timestamp_ns]
-func ParseLine(line string) (measurement string, tags Tags, fields map[string]float64, ts time.Time, err error) {
-	parts := strings.Fields(line)
-	if len(parts) < 2 || len(parts) > 3 {
-		return "", nil, nil, time.Time{}, fmt.Errorf("want 2-3 space-separated sections, got %d", len(parts))
-	}
-	head := strings.Split(parts[0], ",")
-	measurement = head[0]
-	if measurement == "" {
-		return "", nil, nil, time.Time{}, fmt.Errorf("empty measurement")
-	}
-	tags = make(Tags)
-	for _, kv := range head[1:] {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok || k == "" || v == "" {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad tag %q", kv)
-		}
-		tags[k] = v
-	}
-	fields = make(map[string]float64)
-	for _, kv := range strings.Split(parts[1], ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad field %q", kv)
-		}
-		f, perr := strconv.ParseFloat(v, 64)
-		if perr != nil {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad field value %q", v)
-		}
-		fields[k] = f
-	}
-	if len(parts) == 3 {
-		ns, perr := strconv.ParseInt(parts[2], 10, 64)
-		if perr != nil {
-			return "", nil, nil, time.Time{}, fmt.Errorf("bad timestamp %q", parts[2])
-		}
-		ts = time.Unix(0, ns).UTC()
-	}
-	return measurement, tags, fields, ts, nil
 }
